@@ -86,13 +86,16 @@ func (s Set) Norm() float64 { return s.norm }
 // labeled point with index q.
 type NeighborFunc func(q int) bool
 
-// Outlier is the cluster index Assign returns for a point with no neighbors
-// in any labeled set.
+// Outlier is the cluster index AssignScore returns for a point with no
+// neighbors in any labeled set.
 const Outlier = -1
 
-// Assign labels one point: it returns the cluster whose labeled set contains
-// the most neighbors of the point after dividing by (|L_i| + 1)^f(theta),
-// or Outlier when the point has no neighbors in any set.
+// AssignScore labels one point: it returns the cluster whose labeled set
+// contains the most neighbors of the point after dividing by
+// (|L_i| + 1)^f(theta), together with that winning normalized neighbor
+// count — the quantity the serving layer reports as the assignment's
+// confidence score. It returns (Outlier, 0) when the point has no neighbors
+// in any set.
 //
 // Ties keep the FIRST best-scoring set in iteration order (the comparison is
 // strictly score > best), so the winner on a tie depends on the order of
@@ -100,15 +103,10 @@ const Outlier = -1
 // rejects snapshots whose sets are not cluster-sorted, so in practice — and
 // as the serving layer guarantees — ties break toward the lower cluster
 // index, keeping the phase deterministic.
-func Assign(sets []Set, isNeighbor NeighborFunc) int {
-	c, _ := AssignScore(sets, isNeighbor)
-	return c
-}
-
-// AssignScore is Assign plus the winning normalized neighbor count — the
-// quantity the serving layer reports as the assignment's confidence score.
-// The score is 0 for outliers. See Assign for the tie rule: first best in
-// set order, which is the lowest cluster index when sets are cluster-sorted.
+//
+// This is §4.6 as written: one neighbor test per labeled point. Production
+// labeling goes through model.Assigner, whose compiled path is
+// property-tested against this scan (model.Assigner.AssignScan).
 func AssignScore(sets []Set, isNeighbor NeighborFunc) (int, float64) {
 	best, bestScore := Outlier, 0.0
 	for si := range sets {

@@ -62,9 +62,9 @@ func TestAssignPicksMostNeighbors(t *testing.T) {
 		{Cluster: 1, Points: []int{4, 5, 6, 7}, norm: 1},
 	}
 	// Point is a neighbor of 3 members of cluster 1 and 1 of cluster 0.
-	got := Assign(sets, func(q int) bool { return q == 0 || q >= 5 })
-	if got != 1 {
-		t.Fatalf("assigned to %d, want 1", got)
+	got, score := AssignScore(sets, func(q int) bool { return q == 0 || q >= 5 })
+	if got != 1 || score != 3 {
+		t.Fatalf("assigned to (%d, %v), want (1, 3)", got, score)
 	}
 }
 
@@ -76,17 +76,17 @@ func TestAssignNormalization(t *testing.T) {
 		{Cluster: 0, Points: []int{0, 1}, norm: rockcore.ExpectedNeighbors(2, f)},
 		{Cluster: 1, Points: []int{2, 3, 4, 5, 6, 7, 8, 9}, norm: rockcore.ExpectedNeighbors(8, f)},
 	}
-	got := Assign(sets, func(q int) bool { return q == 0 || q == 1 || q == 2 || q == 3 })
+	got, score := AssignScore(sets, func(q int) bool { return q == 0 || q == 1 || q == 2 || q == 3 })
 	// Scores: 2/3^0.8 = 0.83 vs 2/9^0.8 = 0.34.
-	if got != 0 {
-		t.Fatalf("assigned to %d, want 0 (normalization)", got)
+	if want := 2 / rockcore.ExpectedNeighbors(2, f); got != 0 || score != want {
+		t.Fatalf("assigned to (%d, %v), want (0, %v) (normalization)", got, score, want)
 	}
 }
 
 func TestAssignOutlierWhenNoNeighbors(t *testing.T) {
 	sets := []Set{{Cluster: 0, Points: []int{0, 1}, norm: 1}}
-	if got := Assign(sets, func(q int) bool { return false }); got != Outlier {
-		t.Fatalf("assigned to %d, want Outlier", got)
+	if got, score := AssignScore(sets, func(q int) bool { return false }); got != Outlier || score != 0 {
+		t.Fatalf("assigned to (%d, %v), want (Outlier, 0)", got, score)
 	}
 }
 
@@ -97,7 +97,7 @@ func TestAssignTieBreaksLowCluster(t *testing.T) {
 	}
 	// Both sets contribute exactly one neighbor with equal normalization;
 	// the first strictly-greater score wins, so the earlier set keeps it.
-	if got := Assign(sets, func(q int) bool { return true }); got != 1 {
+	if got, _ := AssignScore(sets, func(q int) bool { return true }); got != 1 {
 		t.Fatalf("assigned to %d, want the first maximal set's cluster (1)", got)
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // Assigner is a snapshot compiled for serving: the labeled sets rebuilt with
-// their stored norms, the similarity resolved by name, and (when the model
+// their stored norms, the resolved similarity, and (when the model
 // was trained on categorical records) an encoder for incoming records. An
 // Assigner is immutable after Compile and safe for concurrent use — the
 // serving layer (internal/serve) relies on that to share one Assigner across
@@ -31,24 +31,36 @@ type Assigner struct {
 // Compile turns a snapshot into a servable Assigner, resolving the
 // similarity name against the registered similarities and building the
 // posting-list index for the built-in set measures.
-//
-// Compile requires the snapshot's sets to be sorted by cluster index. The
-// labeling rule keeps the first best-scoring set on ties (label.AssignScore),
-// so the documented tie break — toward the lower cluster index — holds only
-// when iteration order follows cluster order. Every snapshot builder in this
-// repo emits cluster-sorted sets; refusing unsorted ones here keeps the
-// compiled and scan paths from ever diverging on ties.
 func Compile(s *Snapshot) (*Assigner, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	for i := 1; i < len(s.Sets); i++ {
-		if s.Sets[i].Cluster < s.Sets[i-1].Cluster {
-			return nil, fmt.Errorf("model: sets not sorted by cluster (set %d labels cluster %d after %d); tie breaks would depend on set order",
-				i, s.Sets[i].Cluster, s.Sets[i-1].Cluster)
-		}
+	f, err := s.similarity()
+	if err != nil {
+		return nil, err
 	}
-	var f sim.TxnFunc
+	return newAssigner(s, f)
+}
+
+// CompileWith is Compile with the similarity already resolved: f is the
+// model's neighbor measure, and s.SimName names it (selecting the
+// posting-list kind) or is empty for a custom function. A custom measure is
+// not a count-based one, so every Assign takes the scan path, and its
+// snapshot cannot be written. The caller vouches that a non-empty SimName
+// names f; rock.Labeler uses this to serve any Config.Similarity through
+// the one assigner.
+func CompileWith(s *Snapshot, f sim.TxnFunc) (*Assigner, error) {
+	if f == nil {
+		return nil, fmt.Errorf("model: nil similarity function")
+	}
+	if err := s.validate(false); err != nil {
+		return nil, err
+	}
+	return newAssigner(s, f)
+}
+
+// similarity resolves the snapshot's similarity name.
+func (s *Snapshot) similarity() (sim.TxnFunc, error) {
 	if s.SimName == sim.WeightedJaccardName {
 		// Parameterized measure: the weight table lives in the snapshot's
 		// schema, one weight per (attribute, value), laid out in encoder item
@@ -70,14 +82,31 @@ func Compile(s *Snapshot) (*Assigner, error) {
 		if err := w.Validate(); err != nil {
 			return nil, err
 		}
-		f = sim.WeightedJaccard(w)
-	} else {
-		var ok bool
-		f, ok = sim.TxnByName(s.SimName)
-		if !ok {
-			names := sim.TxnNames()
-			sort.Strings(names)
-			return nil, fmt.Errorf("model: unknown similarity %q (have %s)", s.SimName, strings.Join(names, ", "))
+		return sim.WeightedJaccard(w), nil
+	}
+	f, ok := sim.TxnByName(s.SimName)
+	if !ok {
+		names := sim.TxnNames()
+		sort.Strings(names)
+		return nil, fmt.Errorf("model: unknown similarity %q (have %s)", s.SimName, strings.Join(names, ", "))
+	}
+	return f, nil
+}
+
+// newAssigner builds the Assigner for a validated snapshot and its resolved
+// similarity.
+//
+// It requires the snapshot's sets to be sorted by cluster index. The
+// labeling rule keeps the first best-scoring set on ties (label.AssignScore),
+// so the documented tie break — toward the lower cluster index — holds only
+// when iteration order follows cluster order. Every snapshot builder in this
+// repo emits cluster-sorted sets; refusing unsorted ones here keeps the
+// compiled and scan paths from ever diverging on ties.
+func newAssigner(s *Snapshot, f sim.TxnFunc) (*Assigner, error) {
+	for i := 1; i < len(s.Sets); i++ {
+		if s.Sets[i].Cluster < s.Sets[i-1].Cluster {
+			return nil, fmt.Errorf("model: sets not sorted by cluster (set %d labels cluster %d after %d); tie breaks would depend on set order",
+				i, s.Sets[i].Cluster, s.Sets[i-1].Cluster)
 		}
 	}
 	a := &Assigner{snap: s, sim: f, theta: s.Theta}

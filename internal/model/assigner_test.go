@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"rock/internal/dataset"
+	"rock/internal/label"
 	"rock/internal/rockcore"
+	"rock/internal/sim"
 )
 
 // randomSnapshot builds a random but valid snapshot: nSets labeled sets over
@@ -115,6 +117,40 @@ func TestAssignUnnormalizedFallsBack(t *testing.T) {
 	wc, ws := a.AssignScan(raw)
 	if gc != wc || gs != ws {
 		t.Fatalf("unnormalized probe: Assign (%d, %v) != AssignScan (%d, %v)", gc, gs, wc, ws)
+	}
+}
+
+// TestCompileWithCustomFunction: CompileWith serves an unnamed measure on
+// the scan path — every answer equal to label.AssignScore with that
+// function — while Compile still refuses a snapshot with no similarity
+// name, and CompileWith refuses a nil function.
+func TestCompileWithCustomFunction(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := randomSnapshot(rng, "", 0.2, 4, 20, 30, 6)
+	if _, err := Compile(s); err == nil {
+		t.Fatal("Compile accepted a snapshot with no similarity name")
+	}
+	if _, err := CompileWith(s, nil); err == nil {
+		t.Fatal("CompileWith accepted a nil similarity")
+	}
+	halfJaccard := func(a, b dataset.Transaction) float64 { return sim.Jaccard(a, b) / 2 }
+	a, err := CompileWith(s, halfJaccard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Compiled() {
+		t.Fatal("posting-list index built for an unnamed measure")
+	}
+	sets := make([]label.Set, len(s.Sets))
+	for i, set := range s.Sets {
+		sets[i] = label.NewSet(set.Cluster, set.Points, set.Norm)
+	}
+	for i := 0; i < 500; i++ {
+		p := randomProbe(rng, 30, 6)
+		wc, ws := label.AssignScore(sets, func(q int) bool { return halfJaccard(p, s.Txns[q]) >= s.Theta })
+		if gc, gs := a.Assign(p); gc != wc || gs != ws {
+			t.Fatalf("probe %v: (%d, %v), scan with the custom function (%d, %v)", p, gc, gs, wc, ws)
+		}
 	}
 }
 

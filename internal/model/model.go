@@ -103,14 +103,19 @@ type Snapshot struct {
 
 // Validate checks the structural invariants every snapshot must satisfy —
 // both freshly built ones before writing and decoded ones after reading.
-func (s *Snapshot) Validate() error {
+func (s *Snapshot) Validate() error { return s.validate(true) }
+
+// validate is Validate with the similarity-name check optional: CompileWith
+// serves in-process models whose measure is a custom function, which has no
+// name.
+func (s *Snapshot) validate(named bool) error {
 	if math.IsNaN(s.Theta) || s.Theta < 0 || s.Theta > 1 {
 		return fmt.Errorf("model: theta %v out of [0,1]", s.Theta)
 	}
 	if math.IsNaN(s.FTheta) || math.IsInf(s.FTheta, 0) || s.FTheta < 0 {
 		return fmt.Errorf("model: f(theta) %v not a finite non-negative number", s.FTheta)
 	}
-	if s.SimName == "" {
+	if named && s.SimName == "" {
 		return fmt.Errorf("model: empty similarity name")
 	}
 	if s.Schema != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -121,8 +122,8 @@ func TestEngineCacheCounting(t *testing.T) {
 	defer e.Close()
 	e.EnableCache(128)
 	txn := dataset.NewTransaction(1, 2, 3)
-	first := e.Assign(txn)
-	second := e.Assign(txn)
+	first := assignOne(e, txn)
+	second := assignOne(e, txn)
 	if first != second {
 		t.Fatalf("cached answer %+v differs from computed %+v", second, first)
 	}
@@ -142,8 +143,8 @@ func TestEngineCacheDisabled(t *testing.T) {
 	}
 	defer e.Close()
 	txn := dataset.NewTransaction(1, 2, 3)
-	e.Assign(txn)
-	e.Assign(txn)
+	assignOne(e, txn)
+	assignOne(e, txn)
 	m := e.Metrics()
 	if m.CacheHits != 0 || m.CacheMisses != 0 || m.CacheEntries != 0 {
 		t.Fatalf("cache counters moved while disabled: %+v", m)
@@ -160,14 +161,14 @@ func TestEngineCacheInvalidatedOnSwap(t *testing.T) {
 	defer e.Close()
 	e.EnableCache(128)
 	txn := dataset.NewTransaction(1, 2, 3)
-	before := e.Assign(txn)
+	before := assignOne(e, txn)
 	if before.Cluster != 0 {
 		t.Fatalf("unshifted model assigns %+v, want cluster 0", before)
 	}
 	if _, err := e.Swap(compile(t, 5)); err != nil {
 		t.Fatal(err)
 	}
-	after := e.Assign(txn)
+	after := assignOne(e, txn)
 	if after.Cluster != 5 {
 		t.Fatalf("stale cached answer after swap: %+v, want cluster 5", after)
 	}
@@ -188,8 +189,8 @@ func TestEngineCacheBatchConsistency(t *testing.T) {
 	for i := range txns {
 		txns[i] = dataset.NewTransaction(dataset.Item(i%7+1), dataset.Item(i%7+2))
 	}
-	want := e.AssignAll(txns)
-	got := e.AssignAll(txns)
+	want := assignAll(e, e.Model(), txns)
+	got := assignAll(e, e.Model(), txns)
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("txn %d: %+v then %+v", i, want[i], got[i])
@@ -212,8 +213,8 @@ func TestEngineCacheSkipsUnnormalized(t *testing.T) {
 	defer e.Close()
 	e.EnableCache(128)
 	raw := dataset.Transaction{2, 1} // unsorted → not normalized
-	e.Assign(raw)
-	e.Assign(raw)
+	assignOne(e, raw)
+	assignOne(e, raw)
 	m := e.Metrics()
 	if m.CacheHits != 0 || m.CacheMisses != 0 {
 		t.Fatalf("unnormalized transactions must bypass the cache: %+v", m)
@@ -221,16 +222,21 @@ func TestEngineCacheSkipsUnnormalized(t *testing.T) {
 }
 
 func BenchmarkEngineAssignCached(b *testing.B) {
-	a, err := New(compile(b, 0), 1)
+	e, err := New(compile(b, 0), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer a.Close()
-	a.EnableCache(4096)
-	txn := dataset.NewTransaction(1, 2, 3)
+	defer e.Close()
+	e.EnableCache(4096)
+	a := e.Model()
+	in := []dataset.Transaction{dataset.NewTransaction(1, 2, 3)}
+	out := make([]Assignment, 1)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Assign(txn)
+		if err := e.AssignAllContextInto(ctx, a, in, out); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -105,7 +105,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // Metrics is a point-in-time counter snapshot of an Engine, shaped for
 // direct JSON encoding (rockd's GET /metrics?format=json).
 type Metrics struct {
-	// Requests counts Assign/AssignAll calls (one batch = one request).
+	// Requests counts assign calls (one batch = one request).
 	Requests uint64 `json:"requests"`
 	// Assignments counts individual transactions assigned.
 	Assignments uint64 `json:"assignments"`

@@ -222,84 +222,20 @@ func (e *Engine) Swap(a *model.Assigner) (*model.Assigner, error) {
 	return old, nil
 }
 
-// Assign labels one transaction with the current model.
-func (e *Engine) Assign(t dataset.Transaction) Assignment {
-	start := time.Now()
-	a := e.mustModel()
-	var out [1]Assignment
-	e.runChunk(a, e.boundCache(a), []dataset.Transaction{t}, out[:])
-	e.finish(start, 1)
-	return out[0]
-}
-
-// mustModel returns the current assigner, panicking with a clear message
-// when none is loaded. Serving layers check Ready/Model before assigning;
-// reaching this panic means that guard is missing, and a named panic beats
-// a nil dereference deep inside runChunk.
-func (e *Engine) mustModel() *model.Assigner {
-	a := e.cur.Load()
-	if a == nil {
-		panic("serve: no model loaded (engine started idle; Swap one in first)")
-	}
-	return a
-}
-
-// AssignAll labels a batch with the model current at entry, fanning chunks
-// across the worker pool. AssignAll may be called concurrently from many
-// goroutines; chunks from concurrent batches interleave over the shared
-// pool.
-func (e *Engine) AssignAll(ts []dataset.Transaction) []Assignment {
-	return e.AssignAllWith(e.mustModel(), ts)
-}
-
-// AssignAllWith is AssignAll against an explicitly captured assigner. A
-// caller that must make several passes over one batch under a single model
-// — rockd encodes records against a model's schema and then assigns them —
-// captures the model once and uses it for every step, so a concurrent Swap
-// cannot split the passes across two models.
-func (e *Engine) AssignAllWith(a *model.Assigner, ts []dataset.Transaction) []Assignment {
-	if a == nil {
-		panic("serve: AssignAllWith called with a nil assigner")
-	}
-	cache := e.boundCache(a)
-	start := time.Now()
-	out := make([]Assignment, len(ts))
-	if len(ts) <= chunkSize || e.workers == 1 {
-		e.runChunk(a, cache, ts, out)
-		e.finish(start, len(ts))
-		return out
-	}
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(ts); lo += chunkSize {
-		hi := lo + chunkSize
-		if hi > len(ts) {
-			hi = len(ts)
-		}
-		wg.Add(1)
-		e.jobs <- job{a: a, cache: cache, in: ts[lo:hi], out: out[lo:hi], wg: &wg}
-	}
-	wg.Wait()
-	e.finish(start, len(ts))
-	return out
-}
-
-// AssignAllContext is AssignAllWith under a deadline: it stops handing
-// chunks to the pool once ctx is done and returns ctx's error. Chunks
-// already submitted run to completion (workers never abandon a chunk
-// mid-slice), so a cancelled call costs at most one chunk per worker of
-// extra latency. On error the partial assignments are not returned: a
-// half-labeled batch is worse than a clean failure.
-func (e *Engine) AssignAllContext(ctx context.Context, a *model.Assigner, ts []dataset.Transaction) ([]Assignment, error) {
-	out := make([]Assignment, len(ts))
-	if err := e.AssignAllContextInto(ctx, a, ts, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AssignAllContextInto is AssignAllContext writing into a caller-provided
-// slice (len(out) must equal len(ts)), so a pooled-buffer serving loop —
-// the daemon's binary codec path — can assign a batch without allocating.
+// AssignAllContextInto labels a batch with the captured assigner a,
+// writing into a caller-provided slice (len(out) must equal len(ts)) so a
+// pooled-buffer serving loop — the daemon's binary codec path — can assign
+// without allocating. The batch is served entirely by a even if a
+// concurrent Swap installs another model, which is what lets rockd encode
+// records against a model's schema and then assign them under that same
+// model. Batches over one chunk fan out across the worker pool; concurrent
+// calls interleave their chunks over the shared pool.
+//
+// Under a deadline it stops handing chunks to the pool once ctx is done and
+// returns ctx's error. Chunks already submitted run to completion (workers
+// never abandon a chunk mid-slice), so a cancelled call costs at most one
+// chunk per worker of extra latency. On error out holds a partial answer
+// and must be discarded: a half-labeled batch is worse than a clean failure.
 func (e *Engine) AssignAllContextInto(ctx context.Context, a *model.Assigner, ts []dataset.Transaction, out []Assignment) error {
 	return e.assignAllContextInto(ctx, a, e.boundCache(a), ts, out)
 }
@@ -316,7 +252,7 @@ func (e *Engine) AssignAllCachedInto(ctx context.Context, a *model.Assigner, cac
 
 func (e *Engine) assignAllContextInto(ctx context.Context, a *model.Assigner, cache *Cache, ts []dataset.Transaction, out []Assignment) error {
 	if a == nil {
-		panic("serve: AssignAllContext called with a nil assigner")
+		panic("serve: AssignAllContextInto called with a nil assigner")
 	}
 	if len(out) != len(ts) {
 		panic("serve: AssignAllContextInto output length mismatch")
@@ -381,7 +317,7 @@ func (e *Engine) Metrics() Metrics {
 // histogram, for Prometheus exposition.
 func (e *Engine) Latency() HistogramSnapshot { return e.lat.Snapshot() }
 
-// Close stops the worker pool. No Assign/AssignAll calls may be in flight
+// Close stops the worker pool. No AssignAll*Into calls may be in flight
 // or follow; rockd closes the engine only after the HTTP server has fully
 // drained.
 func (e *Engine) Close() {

@@ -61,6 +61,22 @@ func randomProbes(n int, rng *rand.Rand) []dataset.Transaction {
 	return out
 }
 
+// assignAll runs one batch through the engine's production entry point,
+// AssignAllContextInto, under the captured model a. A background context
+// never cancels, so an error here is a bug.
+func assignAll(e *Engine, a *model.Assigner, ts []dataset.Transaction) []Assignment {
+	out := make([]Assignment, len(ts))
+	if err := e.AssignAllContextInto(context.Background(), a, ts, out); err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// assignOne labels a single transaction as a batch of one.
+func assignOne(e *Engine, t dataset.Transaction) Assignment {
+	return assignAll(e, e.Model(), []dataset.Transaction{t})[0]
+}
+
 func TestAssignAllMatchesSingleAssign(t *testing.T) {
 	e, err := New(compile(t, 0), 4)
 	if err != nil {
@@ -68,9 +84,9 @@ func TestAssignAllMatchesSingleAssign(t *testing.T) {
 	}
 	defer e.Close()
 	probes := randomProbes(500, rand.New(rand.NewSource(7)))
-	batch := e.AssignAll(probes)
+	batch := assignAll(e, e.Model(), probes)
 	for i, p := range probes {
-		if got := e.Assign(p); got != batch[i] {
+		if got := assignOne(e, p); got != batch[i] {
 			t.Fatalf("probe %d: batch %+v vs single %+v", i, batch[i], got)
 		}
 	}
@@ -84,7 +100,7 @@ func TestAssignAllMatchesAssigner(t *testing.T) {
 	}
 	defer e.Close()
 	probes := randomProbes(300, rand.New(rand.NewSource(8)))
-	batch := e.AssignAll(probes)
+	batch := assignAll(e, e.Model(), probes)
 	for i, p := range probes {
 		c, s := a.Assign(p)
 		if batch[i].Cluster != c || batch[i].Score != s {
@@ -140,7 +156,7 @@ func TestHotSwapBatchConsistency(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for b := 0; b < batches; b++ {
 				probes := randomProbes(150, rng)
-				res := e.AssignAll(probes)
+				res := assignAll(e, e.Model(), probes)
 				shift := -1
 				for i, r := range res {
 					if r.Cluster == Outlier {
@@ -185,8 +201,8 @@ func TestMetricsCounters(t *testing.T) {
 		dataset.NewTransaction(100, 101),   // cluster 1
 		dataset.NewTransaction(7777, 8888), // outlier
 	}
-	e.AssignAll(probes)
-	e.Assign(probes[2])
+	assignAll(e, e.Model(), probes)
+	assignOne(e, probes[2])
 	m := e.Metrics()
 	if m.Requests != 2 {
 		t.Fatalf("requests = %d, want 2", m.Requests)
@@ -223,7 +239,7 @@ func TestSwapRejectsNilAssigner(t *testing.T) {
 		t.Fatal("refused swap still cleared the model")
 	}
 	// The engine must still answer.
-	if got := e.Assign(dataset.NewTransaction(1, 2, 3)); got.Cluster != 0 {
+	if got := assignOne(e, dataset.NewTransaction(1, 2, 3)); got.Cluster != 0 {
 		t.Fatalf("assign after refused swap: %+v", got)
 	}
 }
@@ -240,12 +256,12 @@ func TestIdleEngineBecomesReadyOnSwap(t *testing.T) {
 	if !e.Ready() {
 		t.Fatal("engine not ready after swap")
 	}
-	if got := e.Assign(dataset.NewTransaction(1, 2, 3)); got.Cluster != 0 {
+	if got := assignOne(e, dataset.NewTransaction(1, 2, 3)); got.Cluster != 0 {
 		t.Fatalf("assign after first swap: %+v", got)
 	}
 }
 
-// TestAssignAllWithCapturedModel: a batch run through AssignAllWith must be
+// TestAssignAllWithCapturedModel: a batch assigned under a captured model must be
 // served by the captured model even when the engine's current model has
 // moved on — the invariant the rockd encode-then-assign path leans on.
 func TestAssignAllWithCapturedModel(t *testing.T) {
@@ -260,7 +276,7 @@ func TestAssignAllWithCapturedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	probes := randomProbes(200, rand.New(rand.NewSource(3)))
-	res := e.AssignAllWith(captured, probes)
+	res := assignAll(e, captured, probes)
 	for i, r := range res {
 		if r.Cluster >= 10 {
 			t.Fatalf("probe %d served by the swapped-in model: %+v", i, r)
@@ -278,21 +294,27 @@ func TestAssignAllContextHonorsCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.AssignAllContext(ctx, e.Model(), probes); !errors.Is(err, context.Canceled) {
+	out := make([]Assignment, len(probes))
+	if err := e.AssignAllContextInto(ctx, e.Model(), probes, out); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled context: err = %v", err)
 	}
+	if m := e.Metrics(); m.Requests != 0 {
+		t.Fatalf("cancelled batch counted as %d requests", m.Requests)
+	}
 
-	out, err := e.AssignAllContext(context.Background(), e.Model(), probes)
-	if err != nil {
+	if err := e.AssignAllContextInto(context.Background(), e.Model(), probes, out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(probes) {
-		t.Fatalf("%d assignments for %d probes", len(out), len(probes))
+	for i, p := range probes {
+		c, s := e.Model().Assign(p)
+		if out[i] != (Assignment{Cluster: c, Score: s}) {
+			t.Fatalf("probe %d: %+v, want (%d, %v)", i, out[i], c, s)
+		}
 	}
 }
 
 // TestCloseAfterDrainAndMetricsConsistency is the Engine.Close regression
-// test: concurrent mixed Assign/AssignAll traffic, then a drain (all calls
+// test: concurrent mixed single and batch traffic, then a drain (all calls
 // returned), then Close — which must be safe — and the counters must add
 // up exactly: requests == calls, assignments == sum of batch sizes.
 func TestCloseAfterDrainAndMetricsConsistency(t *testing.T) {
@@ -311,15 +333,13 @@ func TestCloseAfterDrainAndMetricsConsistency(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for r := 0; r < rounds; r++ {
 				if rng.Intn(2) == 0 {
-					e.Assign(randomProbes(1, rng)[0])
+					assignOne(e, randomProbes(1, rng)[0])
 					calls.Add(1)
 					txns.Add(1)
 				} else {
 					n := 1 + rng.Intn(200)
 					probes := randomProbes(n, rng)
-					if got := e.AssignAll(probes); len(got) != n {
-						panic("short batch")
-					}
+					assignAll(e, e.Model(), probes)
 					calls.Add(1)
 					txns.Add(uint64(n))
 				}

@@ -19,18 +19,14 @@ import (
 // theta-neighbors after dividing by the expected count (|L_i|+1)^f(theta).
 //
 // Typical use: cluster a sample once, keep the Labeler, and classify
-// arriving transactions incrementally. A Labeler is read-only after
-// construction, so concurrent Assign calls are safe. For serving across
-// process boundaries, Snapshot persists the model and LoadLabeler (or the
-// rockd daemon) revives it.
+// arriving transactions incrementally. A Labeler wraps the same compiled
+// model.Assigner the serving, training and streaming layers use, so it is
+// read-only after construction and concurrent Assign calls are safe. For
+// serving across process boundaries, Snapshot persists the model and
+// LoadLabeler (or the rockd daemon) revives it.
 type Labeler struct {
-	sets    []label.Set
-	txns    []Transaction
-	sim     TxnSimilarity
-	simName string
-	theta   float64
-	fTheta  float64
-	schema  *Schema
+	a      *model.Assigner
+	schema *Schema
 }
 
 // Snapshot is the persisted form of a Labeler: the labeled sets, their
@@ -50,6 +46,17 @@ type LabelerConfig struct {
 	Seed int64
 }
 
+// validate rejects the settings every Labeler constructor refuses.
+func (lc LabelerConfig) validate() error {
+	if lc.Fraction < 0 || lc.Fraction > 1 {
+		return fmt.Errorf("rock: labeler fraction %v out of [0,1]", lc.Fraction)
+	}
+	if lc.MinPerCluster < 0 {
+		return fmt.Errorf("rock: negative MinPerCluster %d", lc.MinPerCluster)
+	}
+	return nil
+}
+
 // NewLabeler builds a Labeler from the transactions that were clustered and
 // the clustering result. cfg must be the Config the clustering ran with (its
 // Theta, F and Similarity are reused for the neighbor tests).
@@ -57,60 +64,81 @@ func NewLabeler(txns []Transaction, res *Result, cfg Config, lcfg LabelerConfig)
 	if res == nil {
 		return nil, errors.New("rock: nil result")
 	}
-	if lcfg.Fraction < 0 || lcfg.Fraction > 1 {
-		return nil, fmt.Errorf("rock: labeler fraction %v out of [0,1]", lcfg.Fraction)
+	return trainLabeler(txns, res.Clusters, cfg, lcfg, rand.New(rand.NewSource(lcfg.Seed)))
+}
+
+// trainLabeler is the constructor behind NewLabeler and the pipelines. It
+// draws each cluster's labeled set with rng (clusters index txns), keeps
+// only the transactions some set references, and compiles the result. The
+// pipelines pass their own rng, so the draw continues their sampling stream.
+func trainLabeler(txns []Transaction, clusters [][]int, cfg Config, lcfg LabelerConfig, rng *rand.Rand) (*Labeler, error) {
+	if err := lcfg.validate(); err != nil {
+		return nil, err
 	}
-	if lcfg.MinPerCluster < 0 {
-		return nil, fmt.Errorf("rock: negative MinPerCluster %d", lcfg.MinPerCluster)
+	lc := label.Config{Fraction: 0.25, MinPerCluster: 5}
+	if lcfg.Fraction > 0 {
+		lc.Fraction = lcfg.Fraction
 	}
-	frac := lcfg.Fraction
-	if frac == 0 {
-		frac = 0.25
-	}
-	minPer := lcfg.MinPerCluster
-	if minPer == 0 {
-		minPer = 5
+	if lcfg.MinPerCluster > 0 {
+		lc.MinPerCluster = lcfg.MinPerCluster
 	}
 	f := cfg.F
 	if f == nil {
 		f = rockcore.DefaultF
 	}
-	fTheta := f(cfg.Theta)
-	rng := rand.New(rand.NewSource(lcfg.Seed))
-	sets, err := label.BuildSets(res.Clusters, label.Config{
-		Fraction:      frac,
-		MinPerCluster: minPer,
-		F:             fTheta,
-	}, rng)
+	lc.F = f(cfg.Theta)
+	sets, err := label.BuildSets(clusters, lc, rng)
 	if err != nil {
 		return nil, err
 	}
-	return &Labeler{
-		sets:    sets,
-		txns:    txns,
-		sim:     cfg.txnSim(),
-		simName: sim.NameOf(cfg.txnSim()),
-		theta:   cfg.Theta,
-		fTheta:  fTheta,
-	}, nil
+
+	// Keep the referenced transactions in index order and remap the sets'
+	// points onto them, so a labeler trained on a large run stays small.
+	used := make([]bool, len(txns))
+	for _, s := range sets {
+		for _, p := range s.Points {
+			if p < 0 || p >= len(txns) {
+				return nil, fmt.Errorf("rock: labeled point %d outside transaction slice of %d", p, len(txns))
+			}
+			used[p] = true
+		}
+	}
+	remap := make([]int, len(txns))
+	simF := cfg.txnSim()
+	snap := &Snapshot{Theta: cfg.Theta, FTheta: lc.F, SimName: sim.NameOf(simF)}
+	for p, u := range used {
+		if u {
+			remap[p] = len(snap.Txns)
+			snap.Txns = append(snap.Txns, txns[p])
+		}
+	}
+	for _, s := range sets {
+		pts := make([]int, len(s.Points))
+		for i, p := range s.Points {
+			pts[i] = remap[p]
+		}
+		sort.Ints(pts)
+		snap.Sets = append(snap.Sets, model.Set{Cluster: s.Cluster, Norm: s.Norm(), Points: pts})
+	}
+	a, err := model.CompileWith(snap, simF)
+	if err != nil {
+		return nil, err
+	}
+	return &Labeler{a: a}, nil
 }
 
 // Assign labels one transaction, returning a cluster index into the
 // original Result.Clusters or OutlierCluster when the transaction has no
 // neighbors in any labeled set. Assign is safe for concurrent use.
 func (l *Labeler) Assign(t Transaction) int {
-	c, _ := l.AssignScore(t)
+	c, _ := l.a.Assign(t)
 	return c
 }
 
 // AssignScore is Assign plus the winning cluster's normalized neighbor
 // count — the confidence score the serving layer reports. The score is 0
 // for outliers.
-func (l *Labeler) AssignScore(t Transaction) (int, float64) {
-	return label.AssignScore(l.sets, func(q int) bool {
-		return l.sim(t, l.txns[q]) >= l.theta
-	})
-}
+func (l *Labeler) AssignScore(t Transaction) (int, float64) { return l.a.Assign(t) }
 
 // AssignAll labels a batch of transactions.
 func (l *Labeler) AssignAll(ts []Transaction) []int {
@@ -129,60 +157,22 @@ func (l *Labeler) SetSchema(s *Schema) { l.schema = s }
 // Schema returns the attached categorical schema, or nil.
 func (l *Labeler) Schema() *Schema { return l.schema }
 
-// Snapshot captures the Labeler as a persistable model. Only the
-// transactions referenced by some labeled set are included (indices are
-// remapped), so a snapshot of a large training run stays small. The
-// similarity must be one of the named ones (Jaccard, Dice, Overlap,
-// Cosine); a custom similarity function cannot be serialized.
+// Snapshot captures the Labeler as a persistable model. It holds only the
+// transactions referenced by some labeled set (indices are remapped), so a
+// snapshot of a large training run stays small. The similarity must be one
+// of the named ones (Jaccard, Dice, Overlap, Cosine); a custom similarity
+// function cannot be serialized. The snapshot shares its sets and
+// transactions with the Labeler, so treat it as read-only.
 func (l *Labeler) Snapshot() (*Snapshot, error) {
-	if l.simName == "" {
+	snap := *l.a.Snapshot()
+	if snap.SimName == "" {
 		return nil, errors.New("rock: custom similarity functions cannot be snapshotted; use a named similarity")
 	}
-	// Collect the referenced transaction indices, sorted and deduplicated,
-	// and build the old→new index remap.
-	used := map[int]bool{}
-	for _, s := range l.sets {
-		for _, p := range s.Points {
-			if p < 0 || p >= len(l.txns) {
-				return nil, fmt.Errorf("rock: labeled point %d outside transaction slice of %d", p, len(l.txns))
-			}
-			used[p] = true
-		}
-	}
-	order := make([]int, 0, len(used))
-	for p := range used {
-		order = append(order, p)
-	}
-	sort.Ints(order)
-	remap := make(map[int]int, len(order))
-	txns := make([]Transaction, len(order))
-	for i, p := range order {
-		remap[p] = i
-		txns[i] = l.txns[p]
-	}
-	snap := &Snapshot{
-		Theta:   l.theta,
-		FTheta:  l.fTheta,
-		SimName: l.simName,
-		Schema:  l.schema,
-		Txns:    txns,
-	}
-	for _, s := range l.sets {
-		pts := make([]int, len(s.Points))
-		for i, p := range s.Points {
-			pts[i] = remap[p]
-		}
-		sort.Ints(pts)
-		snap.Sets = append(snap.Sets, model.Set{
-			Cluster: s.Cluster,
-			Norm:    s.Norm(),
-			Points:  pts,
-		})
-	}
+	snap.Schema = l.schema
 	if err := snap.Validate(); err != nil {
 		return nil, err
 	}
-	return snap, nil
+	return &snap, nil
 }
 
 // WriteSnapshot writes the Labeler's snapshot to w in the versioned binary
@@ -213,7 +203,7 @@ func LoadLabeler(r io.Reader) (*Labeler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return labelerFromSnapshot(snap)
+	return compileLabeler(snap)
 }
 
 // LoadLabelerFile revives a Labeler from a snapshot file.
@@ -222,25 +212,13 @@ func LoadLabelerFile(path string) (*Labeler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return labelerFromSnapshot(snap)
+	return compileLabeler(snap)
 }
 
-func labelerFromSnapshot(snap *Snapshot) (*Labeler, error) {
-	simF, ok := sim.TxnByName(snap.SimName)
-	if !ok {
-		return nil, fmt.Errorf("rock: snapshot uses unknown similarity %q", snap.SimName)
+func compileLabeler(snap *Snapshot) (*Labeler, error) {
+	a, err := model.Compile(snap)
+	if err != nil {
+		return nil, err
 	}
-	sets := make([]label.Set, len(snap.Sets))
-	for i, s := range snap.Sets {
-		sets[i] = label.NewSet(s.Cluster, s.Points, s.Norm)
-	}
-	return &Labeler{
-		sets:    sets,
-		txns:    snap.Txns,
-		sim:     simF,
-		simName: snap.SimName,
-		theta:   snap.Theta,
-		fTheta:  snap.FTheta,
-		schema:  snap.Schema,
-	}, nil
+	return &Labeler{a: a, schema: snap.Schema}, nil
 }

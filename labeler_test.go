@@ -3,6 +3,7 @@ package rock_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"rock"
 	"rock/internal/datagen"
+	"rock/internal/store"
 )
 
 func TestLabelerAssignsNewTransactions(t *testing.T) {
@@ -113,6 +115,9 @@ func TestLabelerValidation(t *testing.T) {
 	}
 }
 
+// TestLabelerConfigValidation: every entry point that trains a Labeler —
+// NewLabeler and both pipelines — rejects the same bad label settings with
+// the same error, and accepts the defaults and the boundary values.
 func TestLabelerConfigValidation(t *testing.T) {
 	txns := []rock.Transaction{
 		rock.NewTransaction(1, 2, 3),
@@ -123,23 +128,90 @@ func TestLabelerConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(t.TempDir(), "txns.bin")
+	if err := store.SaveBinary(path, txns); err != nil {
+		t.Fatal(err)
+	}
+	pipeline := func(lcfg rock.LabelerConfig) rock.PipelineConfig {
+		return rock.PipelineConfig{
+			Cluster: cfg, SampleSize: len(txns),
+			LabelFraction: lcfg.Fraction, MinLabelPerCluster: lcfg.MinPerCluster,
+		}
+	}
+	opens := 0
+	entries := []struct {
+		name string
+		run  func(rock.LabelerConfig) error
+	}{
+		{"NewLabeler", func(lcfg rock.LabelerConfig) error {
+			_, err := rock.NewLabeler(txns, res, cfg, lcfg)
+			return err
+		}},
+		{"ClusterLarge", func(lcfg rock.LabelerConfig) error {
+			_, err := rock.ClusterLarge(txns, pipeline(lcfg))
+			return err
+		}},
+		{"ClusterScanner", func(lcfg rock.LabelerConfig) error {
+			open := func() (store.Scanner, io.Closer, error) {
+				opens++
+				return store.OpenBinary(path)
+			}
+			_, err := rock.ClusterScanner(open, pipeline(lcfg))
+			return err
+		}},
+	}
 	bad := []rock.LabelerConfig{
 		{Fraction: -0.1},
 		{Fraction: 1.5},
 		{MinPerCluster: -3},
 	}
 	for _, lcfg := range bad {
-		if _, err := rock.NewLabeler(txns, res, cfg, lcfg); err == nil {
-			t.Errorf("config %+v accepted", lcfg)
+		want := entries[0].run(lcfg)
+		if want == nil {
+			t.Fatalf("NewLabeler accepted %+v", lcfg)
+		}
+		for _, e := range entries[1:] {
+			if err := e.run(lcfg); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s with %+v: err = %v, want %q as from NewLabeler", e.name, lcfg, err, want)
+			}
 		}
 	}
-	// Zero values still select the documented defaults.
-	if _, err := rock.NewLabeler(txns, res, cfg, rock.LabelerConfig{}); err != nil {
-		t.Fatalf("zero config rejected: %v", err)
+	// The pipelines reject bad settings up front, before a pass over the data.
+	if opens != 0 {
+		t.Errorf("ClusterScanner opened the stream %d times before rejecting bad label settings", opens)
 	}
-	// Boundary values are legal.
-	if _, err := rock.NewLabeler(txns, res, cfg, rock.LabelerConfig{Fraction: 1}); err != nil {
-		t.Fatalf("fraction 1 rejected: %v", err)
+	for _, e := range entries {
+		// Zero values still select the documented defaults.
+		if err := e.run(rock.LabelerConfig{}); err != nil {
+			t.Errorf("%s: zero config rejected: %v", e.name, err)
+		}
+		// Boundary values are legal.
+		if err := e.run(rock.LabelerConfig{Fraction: 1}); err != nil {
+			t.Errorf("%s: fraction 1 rejected: %v", e.name, err)
+		}
+	}
+}
+
+// TestLabelerRejectsMismatchedTransactions: a Result whose point indices
+// run past the transaction slice must fail at construction, not panic in
+// a later Assign.
+func TestLabelerRejectsMismatchedTransactions(t *testing.T) {
+	txns := []rock.Transaction{
+		rock.NewTransaction(1, 2, 3),
+		rock.NewTransaction(1, 2, 4),
+		rock.NewTransaction(1, 3, 4),
+		rock.NewTransaction(2, 3, 4),
+	}
+	cfg := rock.Config{K: 1, Theta: 0.5}
+	res, err := rock.ClusterTransactions(txns, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Clusters) != 1 || len(res.Clusters[0]) != len(txns) {
+		t.Fatalf("fixture: want one cluster of all %d points, got %v", len(txns), res.Clusters)
+	}
+	if _, err := rock.NewLabeler(txns[:2], res, cfg, rock.LabelerConfig{Fraction: 1}); err == nil {
+		t.Fatal("labeler accepted a result indexing past its transaction slice")
 	}
 }
 

@@ -8,10 +8,7 @@ import (
 	"runtime"
 	"sync"
 
-	"rock/internal/label"
-	"rock/internal/rockcore"
 	"rock/internal/sample"
-	"rock/internal/sim"
 	"rock/internal/store"
 )
 
@@ -27,24 +24,26 @@ type PipelineConfig struct {
 	// SampleSize is the number of points drawn by reservoir sampling.
 	SampleSize int
 	// LabelFraction is the fraction of each discovered cluster used as its
-	// labeled set L_i (Section 4.6). Zero selects 0.25.
+	// labeled set L_i (Section 4.6). Must lie in [0, 1]; zero selects 0.25.
 	LabelFraction float64
-	// MinLabelPerCluster floors each labeled set's size. Zero selects 5.
+	// MinLabelPerCluster floors each labeled set's size. Must be
+	// non-negative; zero selects 5.
 	MinLabelPerCluster int
 	// Seed drives sampling and labeled-set draws.
 	Seed int64
 }
 
-func (p PipelineConfig) labelCfg(f float64) label.Config {
-	frac := p.LabelFraction
-	if frac == 0 {
-		frac = 0.25
+func (p PipelineConfig) labelerConfig() LabelerConfig {
+	return LabelerConfig{Fraction: p.LabelFraction, MinPerCluster: p.MinLabelPerCluster}
+}
+
+// validate rejects what the pipeline would otherwise find out only after
+// sampling and clustering.
+func (p PipelineConfig) validate() error {
+	if p.SampleSize <= 0 {
+		return errors.New("rock: SampleSize must be positive")
 	}
-	minPer := p.MinLabelPerCluster
-	if minPer == 0 {
-		minPer = 5
-	}
-	return label.Config{Fraction: frac, MinPerCluster: minPer, F: f}
+	return p.labelerConfig().validate()
 }
 
 // LargeResult is the outcome of the pipeline.
@@ -87,8 +86,8 @@ func (r *LargeResult) Clusters() [][]int {
 // neighbor phase, the pipeline's dominant cost, stops being quadratic in
 // the sample.
 func ClusterLarge(txns []Transaction, cfg PipelineConfig) (*LargeResult, error) {
-	if cfg.SampleSize <= 0 {
-		return nil, errors.New("rock: SampleSize must be positive")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	idx := sample.Indices(len(txns), cfg.SampleSize, rng)
@@ -97,24 +96,41 @@ func ClusterLarge(txns []Transaction, cfg PipelineConfig) (*LargeResult, error) 
 	for i, p := range idx {
 		sub[i] = txns[p]
 	}
+	out, sampled, err := clusterSample(len(txns), idx, sub, cfg, rng)
+	if err != nil {
+		return nil, err
+	}
+	// Label the remaining points; assignments are independent, so the
+	// work stripes across workers.
+	var todo []int
+	for p := range txns {
+		if !sampled[p] {
+			todo = append(todo, p)
+		}
+	}
+	labelParallel(todo, cfg.Cluster.Workers, func(p int) {
+		out.Assign[p] = out.Labeler.Assign(txns[p])
+	})
+	out.Labeled = len(todo)
+	return out, nil
+}
+
+// clusterSample is the step both pipelines share once the sample is drawn
+// (idx: its positions among total points, sub: its transactions). It
+// clusters the sample, trains the Labeler on it (continuing rng's stream),
+// and starts the assignment vector: sampled points keep their sample
+// cluster or OutlierCluster, every other point is OutlierCluster until the
+// caller labels it. sampled marks the sampled positions.
+func clusterSample(total int, idx []int, sub []Transaction, cfg PipelineConfig, rng *rand.Rand) (out *LargeResult, sampled []bool, err error) {
 	res, err := ClusterTransactions(sub, cfg.Cluster)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := &LargeResult{Sample: idx, SampleResult: res}
-
-	lab, err := buildLabeler(sub, res, cfg, rng)
+	lab, err := trainLabeler(sub, res.Clusters, cfg.Cluster, cfg.labelerConfig(), rng)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out.Labeler = lab
-
-	out.Assign = make([]int, len(txns))
-	inSample := make(map[int]int, len(idx)) // original index -> sample pos
-	for i, p := range idx {
-		inSample[p] = i
-	}
-	// Sampled points keep their sample-cluster assignment.
+	out = &LargeResult{Sample: idx, SampleResult: res, Labeler: lab, Assign: make([]int, total)}
 	for i := range out.Assign {
 		out.Assign[i] = OutlierCluster
 	}
@@ -123,19 +139,11 @@ func ClusterLarge(txns []Transaction, cfg PipelineConfig) (*LargeResult, error) 
 			out.Assign[idx[m]] = c
 		}
 	}
-	// Label the remaining points; assignments are independent, so the
-	// work stripes across workers.
-	var todo []int
-	for p := range txns {
-		if _, ok := inSample[p]; !ok {
-			todo = append(todo, p)
-		}
+	sampled = make([]bool, total)
+	for _, p := range idx {
+		sampled[p] = true
 	}
-	labelParallel(todo, cfg.Cluster.Workers, func(p int) {
-		out.Assign[p] = lab.Assign(txns[p])
-	})
-	out.Labeled = len(todo)
-	return out, nil
+	return out, sampled, nil
 }
 
 // labelParallel runs fn over every index, striped across workers.
@@ -167,8 +175,8 @@ func labelParallel(todo []int, workers int, fn func(p int)) {
 // non-sampled transaction. open must return a fresh scanner over the same
 // data each time it is called.
 func ClusterScanner(open func() (store.Scanner, io.Closer, error), cfg PipelineConfig) (*LargeResult, error) {
-	if cfg.SampleSize <= 0 {
-		return nil, errors.New("rock: SampleSize must be positive")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
@@ -178,12 +186,12 @@ func ClusterScanner(open func() (store.Scanner, io.Closer, error), cfg PipelineC
 	if err != nil {
 		return nil, err
 	}
-	type sampled struct {
+	type keptTxn struct {
 		pos int
 		txn Transaction
 	}
 	res1 := sample.NewReservoir(cfg.SampleSize, rng)
-	var kept []sampled
+	var kept []keptTxn
 	// trim drops transactions evicted from the reservoir, bounding memory
 	// at O(SampleSize).
 	trim := func() {
@@ -211,7 +219,7 @@ func ClusterScanner(open func() (store.Scanner, io.Closer, error), cfg PipelineC
 		}
 		res1.Add(total)
 		total++
-		kept = append(kept, sampled{pos: total - 1, txn: t})
+		kept = append(kept, keptTxn{pos: total - 1, txn: t})
 		if len(kept) >= 2*cfg.SampleSize {
 			trim()
 		}
@@ -228,30 +236,9 @@ func ClusterScanner(open func() (store.Scanner, io.Closer, error), cfg PipelineC
 		sub[i] = s.txn
 	}
 
-	res, err := ClusterTransactions(sub, cfg.Cluster)
+	out, sampled, err := clusterSample(total, idx, sub, cfg, rng)
 	if err != nil {
 		return nil, err
-	}
-	out := &LargeResult{Sample: idx, SampleResult: res}
-
-	lab, err := buildLabeler(sub, res, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	out.Labeler = lab
-
-	out.Assign = make([]int, total)
-	for i := range out.Assign {
-		out.Assign[i] = OutlierCluster
-	}
-	inSample := make(map[int]int, len(idx))
-	for i, p := range idx {
-		inSample[p] = i
-	}
-	for c, members := range res.Clusters {
-		for _, m := range members {
-			out.Assign[idx[m]] = c
-		}
 	}
 
 	// Pass 2: label the rest of the stream.
@@ -272,8 +259,8 @@ func ClusterScanner(open func() (store.Scanner, io.Closer, error), cfg PipelineC
 		if pos >= total {
 			return nil, fmt.Errorf("rock: stream grew between passes (%d > %d)", pos+1, total)
 		}
-		if _, ok := inSample[pos]; !ok {
-			out.Assign[pos] = lab.Assign(t)
+		if !sampled[pos] {
+			out.Assign[pos] = out.Labeler.Assign(t)
 			out.Labeled++
 		}
 		pos++
@@ -285,28 +272,4 @@ func ClusterScanner(open func() (store.Scanner, io.Closer, error), cfg PipelineC
 		return nil, fmt.Errorf("rock: stream shrank between passes (%d < %d)", pos, total)
 	}
 	return out, nil
-}
-
-// buildLabeler draws the labeled subsets and wraps them, the sampled
-// transactions and the similarity into the Labeler the pipeline assigns
-// with (and the caller keeps, via LargeResult.Labeler).
-func buildLabeler(sub []Transaction, res *Result, cfg PipelineConfig, rng *rand.Rand) (*Labeler, error) {
-	f := cfg.Cluster.F
-	if f == nil {
-		f = rockcore.DefaultF
-	}
-	fTheta := f(cfg.Cluster.Theta)
-	sets, err := label.BuildSets(res.Clusters, cfg.labelCfg(fTheta), rng)
-	if err != nil {
-		return nil, err
-	}
-	simF := cfg.Cluster.txnSim()
-	return &Labeler{
-		sets:    sets,
-		txns:    sub,
-		sim:     simF,
-		simName: sim.NameOf(simF),
-		theta:   cfg.Cluster.Theta,
-		fTheta:  fTheta,
-	}, nil
 }
