@@ -3,7 +3,7 @@ package rock_test
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (each iteration regenerates the experiment end to end), plus
 // ablation benchmarks for the design choices DESIGN.md calls out — the
-// Figure 4 sparse link algorithm vs matrix squaring, the length-2 vs
+// CSR link kernel vs Figure 4's map loop and matrix squaring, the length-2 vs
 // length-3 link definition, raw vs normalized goodness, theta sensitivity,
 // and reservoir-sampling variants.
 //
@@ -272,21 +272,32 @@ func BenchmarkNeighborComputationParallel1000(b *testing.B) {
 	}
 }
 
-// Ablation: the Figure 4 sparse algorithm vs bitset matrix squaring vs the
-// naive O(n³) triple loop (Section 4.4's comparison).
-func BenchmarkLinksFigure4Sparse1000(b *testing.B) {
+// Ablation: the CSR row kernel vs Figure 4's pair loop into a hash map vs
+// bitset matrix squaring vs the naive O(n³) triple loop (Section 4.4's
+// comparison).
+func BenchmarkLinksCSR1000(b *testing.B) {
 	nb := benchNeighbors(b, benchSample(b, 1000), 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		links.Compute(nb, -1) // force sparse table
+		links.Compute(nb, 1)
 	}
 }
 
-func BenchmarkLinksFigure4Dense1000(b *testing.B) {
+// BenchmarkLinksFigure4Reference1000 times Figure 4 as written, the oracle
+// the links package tests the CSR kernel against: every point adds one
+// link to each unordered pair of its neighbors, counted in a map.
+func BenchmarkLinksFigure4Reference1000(b *testing.B) {
 	nb := benchNeighbors(b, benchSample(b, 1000), 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		links.Compute(nb, links.DefaultDenseLimit)
+		pairs := make(map[[2]int32]int)
+		for _, l := range nb.Lists {
+			for x := 0; x < len(l)-1; x++ {
+				for y := x + 1; y < len(l); y++ {
+					pairs[[2]int32{l[x], l[y]}]++
+				}
+			}
+		}
 	}
 }
 
@@ -312,7 +323,7 @@ func BenchmarkLinksPath2Vs3(b *testing.B) {
 	nb := benchNeighbors(b, benchSample(b, 300), 0.5)
 	b.Run("path2", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			links.Compute(nb, -1)
+			links.Compute(nb, 1)
 		}
 	})
 	b.Run("path3", func(b *testing.B) {

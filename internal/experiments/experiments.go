@@ -35,9 +35,9 @@ var (
 	}
 	// MushroomROCKConfig is the Table 3 configuration: theta = 0.8, 20
 	// desired clusters (ROCK stops at 21 when links run out, as in the
-	// paper). The dense link table is forced — 8124 points fit comfortably.
+	// paper).
 	MushroomROCKConfig = rockcore.Config{
-		K: 20, Theta: 0.8, DenseLimit: 10000,
+		K: 20, Theta: 0.8,
 	}
 	// FundsROCKConfig is the Table 4 configuration: theta = 0.8 with
 	// pruning of isolated funds and weeding of singleton clusters.

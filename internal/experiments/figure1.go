@@ -71,7 +71,7 @@ func Figure1() *Figure1Result {
 	}
 
 	nb := links.ComputeNeighbors(len(txns), sim.ByIndex(txns, sim.Jaccard), links.Config{Theta: 0.5})
-	table := links.Compute(nb, links.DefaultDenseLimit)
+	table := links.Compute(nb, 1)
 
 	out := &Figure1Result{}
 	check := func(a, b []dataset.Item, want int, claim string) {

@@ -2,47 +2,11 @@ package links
 
 import "math/bits"
 
-// DefaultDenseLimit is the largest point count for which Compute picks the
-// dense triangular table (n(n+1)/2 uint32 counters; 4096 points ≈ 32 MiB).
-const DefaultDenseLimit = 4096
-
-// Compute runs the sparse link-counting algorithm of Figure 4: every point
-// contributes one link to each unordered pair of its neighbors, so after the
-// pass link(p, q) equals the number of common neighbors of p and q. The
-// complexity is O(Σ_i m_i²) — O(n·m_m·m_a) in the paper's notation.
-//
-// denseLimit selects the backing table: points counts up to the limit use
-// the dense triangular array, larger inputs the sparse hash rows. Pass a
-// negative limit to force sparse, or use DefaultDenseLimit.
-func Compute(nb *Neighbors, denseLimit int) Table {
-	if nb.N() <= denseLimit {
-		t := NewDenseTable(nb.N())
-		countPairs(nb, func(p, q int32) { t.Add(int(p), int(q), 1) })
-		return t
-	}
-	t := NewSparseTable(nb.N())
-	countPairs(nb, func(p, q int32) { t.Add(int(p), int(q), 1) })
-	return t
-}
-
-// countPairs enumerates, for every point, all unordered pairs of its
-// neighbors — the inner double loop of Figure 4.
-func countPairs(nb *Neighbors, add func(p, q int32)) {
-	for i := range nb.Lists {
-		l := nb.Lists[i]
-		for a := 0; a < len(l)-1; a++ {
-			for b := a + 1; b < len(l); b++ {
-				add(l[a], l[b])
-			}
-		}
-	}
-}
-
 // ComputeDenseMatrix squares the boolean adjacency matrix directly — the
 // O(n³) formulation Section 4.4 mentions first. It exists to validate the
 // Figure 4 algorithm and to quantify, in the ablation benchmarks, how much
 // the sparse algorithm saves; it should not be used for large inputs.
-func ComputeDenseMatrix(nb *Neighbors) *DenseTable {
+func ComputeDenseMatrix(nb *Neighbors) *Table {
 	n := nb.N()
 	// Pack the adjacency matrix into bitset rows so the inner product is
 	// a word-parallel popcount — a "blocked" matrix squaring.
@@ -55,7 +19,7 @@ func ComputeDenseMatrix(nb *Neighbors) *DenseTable {
 		}
 		adj[i] = row
 	}
-	t := NewDenseTable(n)
+	m := make([]uint32, n*n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			c := 0
@@ -68,18 +32,16 @@ func ComputeDenseMatrix(nb *Neighbors) *DenseTable {
 			// of j (and vice versa) — those entries are x = i or x = j
 			// with x a neighbor of itself, which cannot happen, so no
 			// correction is needed here.
-			if c > 0 {
-				t.Add(i, j, c)
-			}
+			m[i*n+j], m[j*n+i] = uint32(c), uint32(c)
 		}
 	}
-	return t
+	return fromMatrix(n, m)
 }
 
 // ComputeNaiveMatrix is the textbook triple loop over the adjacency matrix,
 // kept as the slowest cross-check and as the baseline for the matrix-
 // squaring ablation bench.
-func ComputeNaiveMatrix(nb *Neighbors) *DenseTable {
+func ComputeNaiveMatrix(nb *Neighbors) *Table {
 	n := nb.N()
 	adj := make([][]bool, n)
 	for i := range adj {
@@ -88,7 +50,7 @@ func ComputeNaiveMatrix(nb *Neighbors) *DenseTable {
 			adj[i][j] = true
 		}
 	}
-	t := NewDenseTable(n)
+	m := make([]uint32, n*n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			c := 0
@@ -97,10 +59,23 @@ func ComputeNaiveMatrix(nb *Neighbors) *DenseTable {
 					c++
 				}
 			}
-			if c > 0 {
-				t.Add(i, j, c)
+			m[i*n+j], m[j*n+i] = uint32(c), uint32(c)
+		}
+	}
+	return fromMatrix(n, m)
+}
+
+// fromMatrix packs a symmetric row-major n×n count matrix into a Table.
+func fromMatrix(n int, m []uint32) *Table {
+	t := &Table{ptr: make([]int64, n+1)}
+	for i := 0; i < n; i++ {
+		for j, c := range m[i*n : (i+1)*n] {
+			if c > 0 && j != i {
+				t.cols = append(t.cols, int32(j))
+				t.vals = append(t.vals, c)
 			}
 		}
+		t.ptr[i+1] = int64(len(t.cols))
 	}
 	return t
 }
@@ -108,33 +83,36 @@ func ComputeNaiveMatrix(nb *Neighbors) *DenseTable {
 // ComputePath3 counts length-3 paths between pairs of points in the neighbor
 // graph: the alternative link definition Section 3.2 raises and rejects on
 // cost grounds. link3(p, q) = Σ_{x∈N(p), y∈N(q)} [x~y], x,y distinct from
-// p, q. Used only by the ablation benchmarks.
-func ComputePath3(nb *Neighbors) *SparseTable {
+// p, q. It builds each row with Compute's dense accumulator, one point at a
+// time.
+// Used only by the ablation benchmarks.
+func ComputePath3(nb *Neighbors) *Table {
 	n := nb.N()
-	t := NewSparseTable(n)
+	rowCols, rowVals := make([][]int32, n), make([][]uint32, n)
+	counts := make([]uint32, n)
+	var touched []int32
 	for p := 0; p < n; p++ {
-		for _, x32 := range nb.Lists[p] {
-			x := int(x32)
-			if x == p {
-				continue
-			}
-			for _, y32 := range nb.Lists[x] {
-				y := int(y32)
-				if y == p {
+		for _, x := range nb.Lists[p] {
+			for _, y := range nb.Lists[x] {
+				if int(y) == p {
 					continue
 				}
 				// p - x - y - q for every neighbor q of y.
-				for _, q32 := range nb.Lists[y] {
-					q := int(q32)
-					if q <= p || q == x || q == y {
+				for _, q := range nb.Lists[y] {
+					if int(q) == p || q == x {
 						continue
 					}
-					t.Add(p, q, 1)
+					if counts[q] == 0 {
+						touched = append(touched, q)
+					}
+					counts[q]++
 				}
 			}
 		}
+		rowCols[p], rowVals[p] = emitRow(counts, touched)
+		touched = touched[:0]
 	}
-	return t
+	return pack(rowCols, rowVals)
 }
 
 func popcount(x uint64) int { return bits.OnesCount64(x) }

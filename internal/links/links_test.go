@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"rock/internal/dataset"
 	"rock/internal/sim"
@@ -50,7 +49,7 @@ func findTxn(t *testing.T, txns []dataset.Transaction, want ...dataset.Item) int
 func TestFigure1LinkCounts(t *testing.T) {
 	txns, _ := figure1Txns()
 	nb := ComputeNeighbors(len(txns), sim.ByIndex(txns, sim.Jaccard), Config{Theta: 0.5})
-	table := Compute(nb, DefaultDenseLimit)
+	table := Compute(nb, 1)
 
 	t126 := findTxn(t, txns, 1, 2, 6)
 	t127 := findTxn(t, txns, 1, 2, 7)
@@ -90,7 +89,7 @@ func TestFigure1LinkCounts(t *testing.T) {
 func TestFigure1PairExample12(t *testing.T) {
 	txns, _ := figure1Txns()
 	nb := ComputeNeighbors(len(txns), sim.ByIndex(txns, sim.Jaccard), Config{Theta: 0.5})
-	table := Compute(nb, DefaultDenseLimit)
+	table := Compute(nb, 1)
 
 	t123 := findTxn(t, txns, 1, 2, 3)
 	t124 := findTxn(t, txns, 1, 2, 4)
@@ -194,76 +193,36 @@ func randomTxns(rng *rand.Rand, n, universe, avgSize int) []dataset.Transaction 
 	return txns
 }
 
-// TestLinkTableImplementationsAgree cross-checks the Figure 4 sparse
-// algorithm on both table representations, the bitset matrix squaring, the
-// naive matrix squaring and the brute-force common-neighbor count.
+// TestLinkTableImplementationsAgree cross-checks the CSR kernel against the
+// bitset matrix squaring, the naive matrix squaring and the brute-force
+// common-neighbor count.
 func TestLinkTableImplementationsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 5; trial++ {
 		txns := randomTxns(rng, 80, 30, 6)
 		theta := []float64{0.1, 0.3, 0.5, 0.7, 0.9}[trial]
 		nb := ComputeNeighbors(len(txns), sim.ByIndex(txns, sim.Jaccard), Config{Theta: theta})
-		dense := Compute(nb, len(txns))
-		sparse := Compute(nb, -1)
-		mat := ComputeDenseMatrix(nb)
-		naive := ComputeNaiveMatrix(nb)
-		if _, ok := dense.(*DenseTable); !ok {
-			t.Fatal("expected dense table")
-		}
-		if _, ok := sparse.(*SparseTable); !ok {
-			t.Fatal("expected sparse table")
+		tables := map[string]*Table{
+			"csr":    Compute(nb, 1),
+			"matrix": ComputeDenseMatrix(nb),
+			"naive":  ComputeNaiveMatrix(nb),
 		}
 		for i := 0; i < len(txns); i++ {
-			for j := i + 1; j < len(txns); j++ {
-				want := bruteForceLinks(nb, i, j)
-				for name, got := range map[string]int{
-					"dense":  dense.Get(i, j),
-					"sparse": sparse.Get(i, j),
-					"matrix": mat.Get(i, j),
-					"naive":  naive.Get(i, j),
-				} {
-					if got != want {
+			for j := 0; j < len(txns); j++ {
+				want := 0
+				if i != j {
+					want = bruteForceLinks(nb, i, j)
+				}
+				for name, tab := range tables {
+					if got := tab.Get(i, j); got != want {
 						t.Fatalf("theta=%v %s.Get(%d,%d) = %d, want %d", theta, name, i, j, got, want)
 					}
 				}
 			}
 		}
-		if dense.NonZeroPairs() != sparse.NonZeroPairs() {
-			t.Fatalf("NonZeroPairs disagree: %d vs %d", dense.NonZeroPairs(), sparse.NonZeroPairs())
-		}
-	}
-}
-
-func TestTableForEachConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	txns := randomTxns(rng, 60, 25, 5)
-	nb := ComputeNeighbors(len(txns), sim.ByIndex(txns, sim.Jaccard), Config{Theta: 0.4})
-	for _, table := range []Table{Compute(nb, len(txns)), Compute(nb, -1)} {
-		for i := 0; i < table.N(); i++ {
-			seen := make(map[int]int)
-			table.ForEach(i, func(j, l int) {
-				if j == i {
-					t.Fatalf("ForEach(%d) visited self", i)
-				}
-				if _, dup := seen[j]; dup {
-					t.Fatalf("ForEach(%d) visited %d twice", i, j)
-				}
-				seen[j] = l
-			})
-			for j := 0; j < table.N(); j++ {
-				if j == i {
-					continue
-				}
-				want := table.Get(i, j)
-				if want == 0 {
-					if _, ok := seen[j]; ok {
-						t.Fatalf("ForEach(%d) visited zero-link %d", i, j)
-					}
-					continue
-				}
-				if seen[j] != want {
-					t.Fatalf("ForEach(%d) link to %d = %d, want %d", i, j, seen[j], want)
-				}
+		for name, tab := range tables {
+			if tab.NonZeroPairs() != tables["csr"].NonZeroPairs() {
+				t.Fatalf("NonZeroPairs disagree: %s %d vs csr %d", name, tab.NonZeroPairs(), tables["csr"].NonZeroPairs())
 			}
 		}
 	}
@@ -309,23 +268,6 @@ func TestFilterMinDegree(t *testing.T) {
 	keep, out := nb.FilterMinDegree(1)
 	if !reflect.DeepEqual(keep, []int{0, 1}) || !reflect.DeepEqual(out, []int{2}) {
 		t.Fatalf("FilterMinDegree = %v, %v", keep, out)
-	}
-}
-
-// TestDenseTableQuick property-tests the triangular index round trip.
-func TestDenseTableQuick(t *testing.T) {
-	f := func(i, j uint8) bool {
-		n := 64
-		a, b := int(i)%n, int(j)%n
-		if a == b {
-			return true
-		}
-		tab := NewDenseTable(n)
-		tab.Add(a, b, 3)
-		return tab.Get(a, b) == 3 && tab.Get(b, a) == 3
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -4,12 +4,14 @@
 // of p and q (equivalently, the number of length-2 paths between them in the
 // neighbor graph).
 //
-// Link computation is provided in three forms: the sparse neighbor-list
-// algorithm of Figure 4 (O(Σ m_i²), the form ROCK uses), a dense
-// adjacency-matrix-squaring algorithm (the O(n³) formulation Section 4.4
-// describes before dismissing it for sparse data), and a length-3 path
-// variant used only by the ablation benchmarks (Section 3.2 discusses and
-// rejects longer paths).
+// Links live in one compressed-sparse-row Table built by one kernel,
+// Compute: row i is Σ_{k∈N(i)} N(k), accumulated per worker in a dense
+// array with a touched list, with rows striped across workers. It does the
+// O(Σ m_i²) work of Figure 4 with an array increment per step. Two dense
+// adjacency-matrix squarings (the O(n³) formulation Section 4.4 describes
+// before dismissing it for sparse data) and a length-3 path variant
+// (Section 3.2 discusses and rejects longer paths) remain for the ablation
+// benchmarks and as cross-checks.
 package links
 
 import (
@@ -22,7 +24,8 @@ import (
 
 // Neighbors holds, for every point, the sorted list of its neighbors. Self
 // is never included: per the paper's examples (Section 3.2), links count
-// common *third-party* neighbors only.
+// common *third-party* neighbors only. The relation is symmetric: j is in
+// i's list exactly when i is in j's, which Compute relies on.
 type Neighbors struct {
 	Lists [][]int32
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"rock/internal/iheap"
 	"rock/internal/links"
@@ -35,10 +36,12 @@ type Config struct {
 	// MinClusterSize is the support threshold for weeding. Zero disables
 	// weeding even when StopMultiple is set.
 	MinClusterSize int
-	// DenseLimit selects the link-table representation (see links.Compute).
-	// Zero means links.DefaultDenseLimit.
+	// DenseLimit once chose between a dense and a sparse link table.
+	//
+	// Deprecated: ignored; one CSR table (links.Compute) serves every size.
 	DenseLimit int
-	// Workers bounds parallelism in the O(n²) neighbor computation.
+	// Workers bounds parallelism in the O(n²) neighbor computation and the
+	// link table build. Zero means GOMAXPROCS.
 	Workers int
 	// RawCrossLinkGoodness, when true, replaces the goodness measure with
 	// the raw cross-link count — the "naive approach" Section 4.2 warns
@@ -59,13 +62,6 @@ func (c Config) f() float64 {
 	return DefaultF(c.Theta)
 }
 
-func (c Config) denseLimit() int {
-	if c.DenseLimit == 0 {
-		return links.DefaultDenseLimit
-	}
-	return c.DenseLimit
-}
-
 // Stats records diagnostics about a clustering run.
 type Stats struct {
 	// Points is the number of input points; Pruned of those were dropped
@@ -84,6 +80,12 @@ type Stats struct {
 	// LinkPairs is the number of unordered point pairs with positive link
 	// counts — the link table's size.
 	LinkPairs int
+	// LinkTime is the time spent building the link table (Section 4.4),
+	// and MergeTime the time spent in the Figure 3 loop: heap
+	// initialization, merges and outlier weeding. Together they let
+	// Section 4.5's complexity bounds be checked against measured time.
+	// Unlike the counts above, they vary from run to run.
+	LinkTime, MergeTime time.Duration
 }
 
 // MergeStep describes one agglomeration step for trace consumers.
@@ -189,11 +191,15 @@ func ClusterNeighbors(nb *links.Neighbors, cfg Config) (*Result, error) {
 	res.Stats.MaxDegree = nb.MaxDegree()
 	res.Stats.AvgDegree = nb.AvgDegree()
 
-	table := links.ComputeParallel(nb, cfg.denseLimit(), cfg.Workers)
+	start := time.Now()
+	table := links.Compute(nb, cfg.Workers)
+	res.Stats.LinkTime = time.Since(start)
 	res.Stats.LinkPairs = table.NonZeroPairs()
 
+	start = time.Now()
 	st := newState(table, cfg)
 	st.run()
+	res.Stats.MergeTime = time.Since(start)
 
 	res.Stats.Merges = st.merges
 	res.Stats.StoppedNoLinks = st.stoppedNoLinks
@@ -278,7 +284,7 @@ type state struct {
 // negInf is the global-heap priority of a cluster with an empty local heap.
 var negInf = math.Inf(-1)
 
-func newState(table links.Table, cfg Config) *state {
+func newState(table *links.Table, cfg Config) *state {
 	n := table.N()
 	st := &state{
 		cfg:         cfg,
@@ -296,13 +302,12 @@ func newState(table links.Table, cfg Config) *state {
 	}
 	for i := 0; i < n; i++ {
 		c := st.cs[i]
-		var deg int
-		table.ForEach(i, func(j, l int) { deg++ })
-		c.links = make(map[int32]int32, deg)
-		table.ForEach(i, func(j, l int) {
-			c.links[int32(j)] = int32(l)
-			c.heap.Push(iheap.LazyEntry{Key: int32(j), Pri: st.goodness(l, 1, 1)})
-		})
+		cols, vals := table.Row(i)
+		c.links = make(map[int32]int32, len(cols))
+		for k, j := range cols {
+			c.links[j] = int32(vals[k])
+			c.heap.Push(iheap.LazyEntry{Key: j, Pri: st.goodness(int(vals[k]), 1, 1)})
+		}
 		c.best = st.localBest(i)
 		st.global.Push(iheap.LazyEntry{Key: int32(i), Rev: 0, Pri: c.best})
 	}

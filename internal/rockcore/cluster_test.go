@@ -36,14 +36,15 @@ func figure1() (txns []dataset.Transaction, labels []int) {
 func TestFigure1MostLinksInOwnCluster(t *testing.T) {
 	txns, labels := figure1()
 	nb := links.ComputeNeighbors(len(txns), sim.ByIndex(txns, sim.Jaccard), links.Config{Theta: 0.5})
-	table := links.Compute(nb, links.DefaultDenseLimit)
+	table := links.Compute(nb, 1)
 	for i := range txns {
 		best, bestLinks := -1, -1
-		table.ForEach(i, func(j, l int) {
-			if l > bestLinks || (l == bestLinks && labels[j] == labels[i]) {
-				best, bestLinks = j, l
+		cols, vals := table.Row(i)
+		for k, j := range cols {
+			if l := int(vals[k]); l > bestLinks || (l == bestLinks && labels[j] == labels[i]) {
+				best, bestLinks = int(j), l
 			}
-		})
+		}
 		if best < 0 {
 			t.Fatalf("transaction %d (%v) has no links at all", i, txns[i])
 		}
@@ -457,7 +458,7 @@ func TestClusterInvariantsRandomized(t *testing.T) {
 
 		// Stats and criterion consistency against a fresh link table.
 		nb := links.ComputeNeighbors(len(txns), s, links.Config{Theta: cfg.Theta})
-		table := links.Compute(nb, links.DefaultDenseLimit)
+		table := links.Compute(nb, 1)
 		var recomputed float64
 		for ci, c := range res.Clusters {
 			internal := 0

@@ -86,11 +86,13 @@ type Config struct {
 	// clusters smaller than MinClusterSize.
 	StopMultiple   float64
 	MinClusterSize int
-	// Workers bounds parallelism in the O(n²) neighbor computation; zero
-	// uses all CPUs, one reproduces the paper's sequential behaviour.
+	// Workers bounds parallelism in the O(n²) neighbor computation and the
+	// link table build; zero uses all CPUs, one reproduces the paper's
+	// sequential behaviour.
 	Workers int
-	// DenseLimit caps the point count for which the dense link table is
-	// used; zero selects the default (see internal/links).
+	// DenseLimit once chose between a dense and a sparse link table.
+	//
+	// Deprecated: ignored; one CSR link table serves every size.
 	DenseLimit int
 	// TraceMerges records the merge history in Result.Trace, enabling
 	// BestK and CriterionTrajectory analyses.
@@ -105,7 +107,6 @@ func (c Config) core() rockcore.Config {
 		MinNeighbors:   c.MinNeighbors,
 		StopMultiple:   c.StopMultiple,
 		MinClusterSize: c.MinClusterSize,
-		DenseLimit:     c.DenseLimit,
 		Workers:        c.Workers,
 		TraceMerges:    c.TraceMerges,
 	}
